@@ -108,17 +108,23 @@ void corrupt_in_place(MutableByteSpan data, std::uint64_t salt) {
   data[index] ^= mask;
 }
 
+void xor_into(MutableByteSpan acc, ByteSpan src) {
+  if (src.size() > acc.size()) {
+    throw std::invalid_argument("xor_into source longer than accumulator");
+  }
+  for (std::size_t i = 0; i < src.size(); ++i) acc[i] ^= src[i];
+}
+
 Bytes xor_parity(const std::vector<Bytes>& buffers) {
   if (buffers.empty()) {
     throw std::invalid_argument("xor_parity needs at least one buffer");
   }
-  const std::size_t size = buffers.front().size();
-  Bytes parity(size, std::byte{0});
+  Bytes parity(buffers.front().size(), std::byte{0});
   for (const auto& buf : buffers) {
-    if (buf.size() != size) {
+    if (buf.size() != parity.size()) {
       throw std::invalid_argument("xor_parity buffers must be equal length");
     }
-    for (std::size_t i = 0; i < size; ++i) parity[i] ^= buf[i];
+    xor_into(parity, buf);
   }
   return parity;
 }
@@ -129,7 +135,7 @@ Bytes xor_rebuild(const Bytes& parity, const std::vector<Bytes>& survivors) {
     if (buf.size() != rebuilt.size()) {
       throw std::invalid_argument("xor_rebuild buffers must be equal length");
     }
-    for (std::size_t i = 0; i < rebuilt.size(); ++i) rebuilt[i] ^= buf[i];
+    xor_into(rebuilt, buf);
   }
   return rebuilt;
 }

@@ -79,6 +79,11 @@ void corrupt_in_place(MutableByteSpan data, std::uint64_t salt);
 // and the fault plan's per-operation decisions.
 std::uint64_t splitmix64(std::uint64_t x);
 
+// XOR `src` into the first src.size() bytes of `acc` - the one kernel
+// behind parity encode and rebuild. A shorter `src` acts as if
+// zero-padded to acc's length; a longer one throws std::invalid_argument.
+void xor_into(MutableByteSpan acc, ByteSpan src);
+
 // XOR parity across equal-length buffers (SCR's XOR partner scheme). All
 // buffers must have the same size; with k data buffers, any single missing
 // buffer can be rebuilt from the other k-1 plus the parity.

@@ -5,7 +5,18 @@
 #include "common/ziggurat.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
+// GCC 12's avx512fintrin.h self-initialises a local (`__Y = __Y`) that
+// -Wmaybe-uninitialized/-Wuninitialized flag at every inlined use (GCC bug
+// 105593); silence them for the system header only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #define NDPCR_BATCH_RNG_X86 1
 #endif
 

@@ -4,7 +4,18 @@
 
 #if defined(__x86_64__)
 #include <cpuid.h>
+// GCC 12's avx512fintrin.h self-initialises a local (`__Y = __Y`) that
+// -Wmaybe-uninitialized/-Wuninitialized flag at every inlined use (GCC bug
+// 105593); silence them for the system header only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 namespace ndpcr {

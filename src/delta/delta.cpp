@@ -219,8 +219,12 @@ Bytes DeltaCodec::decode(ByteSpan reference, ByteSpan delta) const {
     throw DeltaError("delta applied against the wrong reference");
   }
 
+  // The declared size is untrusted: reserve no more than the inputs could
+  // plausibly expand to and let the ops grow the output. Every iteration
+  // below consumes a stream byte or throws, so growth is input-bounded.
   Bytes out;
-  out.reserve(current_size);
+  out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      current_size, reference.size() + delta.size())));
   std::size_t pos = 24;
   auto need = [&](std::size_t n) {
     if (pos + n > delta.size()) throw DeltaError("delta stream truncated");

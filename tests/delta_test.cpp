@@ -118,6 +118,16 @@ TEST(DeltaCodec, RejectsMalformedStreams) {
   EXPECT_THROW(DeltaCodec(0), DeltaError);
 }
 
+TEST(DeltaCodec, HugeDeclaredSizeIsTypedErrorNotAllocation) {
+  // A header claiming a 2^64-byte output must fail on the stream's real
+  // ops, never by trying to reserve the declared size up front.
+  DeltaCodec codec(1024);
+  const Bytes reference = random_bytes(4096, 12);
+  Bytes delta = codec.encode(reference, random_bytes(4096, 13));
+  for (std::size_t i = 8; i < 16; ++i) delta[i] = std::byte{0xff};
+  EXPECT_THROW((void)codec.decode(reference, delta), DeltaError);
+}
+
 TEST(DeltaCodec, ConsecutiveMiniAppCheckpointsAreHighlyRedundant) {
   // The conclusion's premise: consecutive checkpoints of a real workload
   // share most of their content (here: index structures and slowly-
