@@ -12,11 +12,18 @@
 namespace ndpcr::ckpt {
 namespace {
 
-double backoff_for(const RetryPolicy& policy, std::uint32_t attempt) {
+// Bounded retry for store operations: total tries per operation, and the
+// virtual backoff before the first retry, growing x2 per retry. Backoff
+// is accounted in the HealthReport, never slept, so fault schedules
+// replay bit-identically at any speed.
+constexpr std::uint32_t kMaxAttempts = 4;
+constexpr double kBackoffSeconds = 0.01;
+constexpr double kBackoffMultiplier = 2.0;
+
+double backoff_for(std::uint32_t attempt) {
   // Virtual delay charged before retry `attempt` (1-based).
-  return policy.backoff_seconds *
-         std::pow(policy.backoff_multiplier,
-                  static_cast<double>(attempt - 1));
+  return kBackoffSeconds *
+         std::pow(kBackoffMultiplier, static_cast<double>(attempt - 1));
 }
 
 // Fold one task's private health delta into the level's counters. Always
@@ -166,9 +173,6 @@ MultilevelManager::MultilevelManager(const MultilevelConfig& config)
       trace_(config.trace ? config.trace : &obs::Tracer::null()) {
   if (config.node_count == 0) {
     throw std::invalid_argument("node_count must be positive");
-  }
-  if (config.retry.max_attempts == 0) {
-    throw std::invalid_argument("retry.max_attempts must be positive");
   }
   if (config.partner_scheme == PartnerScheme::kXorGroup) {
     group_size_ = config.xor_group_size;
@@ -332,8 +336,7 @@ void MultilevelManager::for_tasks(
 
 PutOutcome MultilevelManager::put_once(KvStore* store, std::uint32_t rank,
                                        std::uint64_t id, const Bytes& data) {
-  if (store) return verified_put_once(*store, rank, id, data,
-                                      config_.verify_writes);
+  if (store) return verified_put_once(*store, rank, id, data);
   Bytes staged = data;
   if (config_.local_write_hook) {
     config_.local_write_hook(rank, local_write_ops_[rank]++, staged);
@@ -343,13 +346,11 @@ PutOutcome MultilevelManager::put_once(KvStore* store, std::uint32_t rank,
     throw std::logic_error("local NVM cannot accept checkpoint " +
                            std::to_string(id));
   }
-  if (config_.verify_writes) {
-    const auto readback = local_[rank]->get(id);
-    if (!readback || !std::equal(readback->begin(), readback->end(),
-                                 data.begin(), data.end())) {
-      local_[rank]->erase(id);  // torn or flipped in place: quarantine
-      return {.accepted = true, .verify_failed = true, .quarantined = true};
-    }
+  const auto readback = local_[rank]->get(id);
+  if (!readback || !std::equal(readback->begin(), readback->end(),
+                               data.begin(), data.end())) {
+    local_[rank]->erase(id);  // torn or flipped in place: quarantine
+    return {.accepted = true, .verify_failed = true, .quarantined = true};
   }
   return {.ok = true, .accepted = true};
 }
@@ -364,13 +365,12 @@ bool MultilevelManager::checked_put(KvStore* store, LevelHealth& health,
                       {obs::u64("rank", rank), obs::u64("id", id)});
     }
   };
-  const RetryPolicy& policy = config_.retry;
-  const std::uint32_t attempts = probe ? 1 : policy.max_attempts;
+  const std::uint32_t attempts = probe ? 1 : kMaxAttempts;
   for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
     ++health.puts;
     if (attempt > 0) {
       ++health.put_retries;
-      health.backoff_seconds += backoff_for(policy, attempt);
+      health.backoff_seconds += backoff_for(attempt);
       if (tc.buf) {
         tc.buf->instant("put_retry", tc.level, tc.track,
                         {obs::u64("rank", rank), obs::u64("id", id),
@@ -402,14 +402,13 @@ std::optional<Bytes> MultilevelManager::checked_get(const KvStore& store,
                                                     std::uint32_t rank,
                                                     std::uint64_t id,
                                                     TraceCtx tc) const {
-  const RetryPolicy& policy = config_.retry;
-  for (std::uint32_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     StoreResult<Bytes> got = store.get(rank, id);
     if (got.ok()) return std::move(*got);
     if (!got.error().transient()) return std::nullopt;
-    if (attempt + 1 < policy.max_attempts) {
+    if (attempt + 1 < kMaxAttempts) {
       ++health.read_retries;
-      health.backoff_seconds += backoff_for(policy, attempt + 1);
+      health.backoff_seconds += backoff_for(attempt + 1);
       if (tc.buf) {
         tc.buf->instant("read_retry", tc.level, tc.track,
                         {obs::u64("rank", rank), obs::u64("id", id),

@@ -85,15 +85,6 @@ enum class PartnerScheme { kCopy, kXorGroup };
 // Which remote store a MultilevelConfig::store_factory call is building.
 enum class StoreLevel { kPartner, kIo };
 
-// Bounded-retry policy for store operations. Backoff is virtual time:
-// accounted in the HealthReport, never slept, so fault schedules replay
-// bit-identically at any speed.
-struct RetryPolicy {
-  std::uint32_t max_attempts = 4;   // total tries per store operation
-  double backoff_seconds = 0.01;    // virtual delay before the 1st retry
-  double backoff_multiplier = 2.0;  // exponential growth per retry
-};
-
 enum class LevelState { kHealthy, kDegraded };
 
 const char* to_string(LevelState state);
@@ -274,9 +265,6 @@ struct MultilevelConfig {
   // Incremental checkpointing + dedup (docs/DELTA.md). Off by default:
   // every commit is a self-contained full image.
   DeltaPolicy delta;
-
-  RetryPolicy retry;
-  bool verify_writes = true;  // readback + compare after every put
 
   // Optional tracer (docs/OBSERVABILITY.md). Null disables tracing; the
   // manager then binds obs::Tracer::null() and every emission site costs

@@ -6,8 +6,7 @@
 namespace ndpcr::ckpt {
 
 PutOutcome verified_put_once(KvStore& store, std::uint32_t rank,
-                             std::uint64_t id, const Bytes& data,
-                             bool verify) {
+                             std::uint64_t id, const Bytes& data) {
   PutOutcome out;
   const StoreStatus status = store.put(rank, id, Bytes(data));
   if (!status.ok()) {
@@ -15,10 +14,6 @@ PutOutcome verified_put_once(KvStore& store, std::uint32_t rank,
     return out;
   }
   out.accepted = true;
-  if (!verify) {
-    out.ok = true;
-    return out;
-  }
   const StoreResult<Bytes> readback = store.get(rank, id);
   if (readback.ok() && *readback == data) {
     out.ok = true;

@@ -6,11 +6,12 @@
 //
 //   verified_put_once - ONE attempt of the write-verify-quarantine
 //     protocol every durable write in the repo follows: put, read back,
-//     compare, erase a torn entry that landed under a valid key. Both
-//     retry harnesses - MultilevelManager::checked_put's bounded
-//     retry/backoff loop and NdpAgent's virtual-time drain retry - wrap
-//     this one primitive, so the store-facing op sequence of an attempt
-//     is identical wherever a checkpoint lands.
+//     compare, erase a torn entry that landed under a valid key. Every
+//     retry harness - MultilevelManager::checked_put's bounded
+//     retry/backoff loop, NdpAgent's virtual-time drain retry and
+//     NdpClusterSim's host-fallback write - wraps this one primitive, so
+//     the store-facing op sequence of an attempt is identical wherever a
+//     checkpoint lands.
 //
 //   AsyncStageWriter - a single background executor running submitted
 //     closures strictly in submission (FIFO) order, with a bounded
@@ -52,13 +53,11 @@ struct PutOutcome {
   bool quarantined = false;     // a mismatched entry was erased
 };
 
-// One attempt: put `data` under (rank, id), then - when `verify` - read
-// it back and compare, erasing (quarantining) an entry that reads back
-// different. Never throws; the caller's retry policy interprets the
-// outcome flags.
+// One attempt: put `data` under (rank, id), then read it back and
+// compare, erasing (quarantining) an entry that reads back different.
+// Never throws; the caller's retry policy interprets the outcome flags.
 PutOutcome verified_put_once(KvStore& store, std::uint32_t rank,
-                             std::uint64_t id, const Bytes& data,
-                             bool verify);
+                             std::uint64_t id, const Bytes& data);
 
 // Counters for the async stage. Purely observational: queue depth and
 // stall counts depend on wall-clock scheduling, so - like wall-time

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "ckpt/store_writer.hpp"
 #include "ckpt/stores.hpp"
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
@@ -135,18 +136,10 @@ NdpClusterResult NdpClusterSim::run() {
       if (!fallback) continue;
       bool landed = false;
       for (int attempt = 0; attempt < 3 && !landed; ++attempt) {
-        const auto status =
-            io.put(r, fallback->checkpoint_id, Bytes(fallback->compressed));
-        if (!status.ok()) {
-          if (status.error().permanent()) break;
-          continue;
-        }
-        const auto readback = io.get(r, fallback->checkpoint_id);
-        if (readback.ok() && *readback == fallback->compressed) {
-          landed = true;
-        } else if (readback.ok()) {
-          io.erase(r, fallback->checkpoint_id);
-        }
+        const ckpt::PutOutcome out = ckpt::verified_put_once(
+            io, r, fallback->checkpoint_id, fallback->compressed);
+        if (out.put_permanent) break;
+        landed = out.ok;
       }
       if (landed) {
         now += static_cast<double>(fallback->compressed.size()) /

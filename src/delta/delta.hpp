@@ -10,13 +10,12 @@
 // checkpoint of the same rank): unchanged blocks become references,
 // changed blocks are stored literally. Block-level and hash-based, like
 // libhashckpt, so it composes with the byte codecs (delta first, then
-// e.g. ngzip over the literals-heavy delta stream).
+// e.g. ngzip over the literals-heavy delta stream). Checkpoint dedup is
+// ckpt::DedupIndex, the IO level's content-defined block store.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 
 #include "common/bytes.hpp"
@@ -158,65 +157,6 @@ class DeltaCodec {
 
  private:
   std::size_t block_size_;
-};
-
-// ---------------------------------------------------------------------------
-// Content-addressed deduplicating store across ranks and checkpoints
-// (the [23, 24] direction): blocks shared between neighboring ranks'
-// checkpoints (halo regions, constant tables, index structures) are
-// stored once, with per-image recipes.
-
-struct DedupPutStats {
-  std::size_t raw_bytes = 0;
-  std::size_t new_block_bytes = 0;  // unique payload added by this image
-  std::size_t recipe_bytes = 0;
-};
-
-class DedupStore {
- public:
-  explicit DedupStore(std::size_t block_size = 4096);
-
-  DedupPutStats put(std::uint32_t rank, std::uint64_t checkpoint_id,
-                    ByteSpan image);
-
-  // Reassemble an image. Returns nullopt for unknown keys; throws
-  // DeltaError if a referenced block has been evicted (store corruption).
-  [[nodiscard]] std::optional<Bytes> get(std::uint32_t rank,
-                                         std::uint64_t checkpoint_id) const;
-
-  // Drop an image and release its block references (blocks are
-  // refcounted; shared blocks survive).
-  void erase(std::uint32_t rank, std::uint64_t checkpoint_id);
-
-  [[nodiscard]] std::size_t stored_block_bytes() const {
-    return stored_block_bytes_;
-  }
-  [[nodiscard]] std::size_t logical_bytes() const { return logical_bytes_; }
-  [[nodiscard]] std::size_t unique_blocks() const { return blocks_.size(); }
-
-  // Aggregate dedup factor: 1 - physical/logical.
-  [[nodiscard]] double dedup_factor() const {
-    return logical_bytes_ == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(stored_block_bytes_) /
-                           static_cast<double>(logical_bytes_);
-  }
-
- private:
-  struct Block {
-    Bytes data;
-    std::size_t refs = 0;
-  };
-  struct Recipe {
-    std::vector<std::uint64_t> block_keys;
-    std::size_t image_size = 0;
-  };
-
-  std::size_t block_size_;
-  std::size_t stored_block_bytes_ = 0;
-  std::size_t logical_bytes_ = 0;
-  std::map<std::uint64_t, Block> blocks_;  // key: content hash (validated)
-  std::map<std::pair<std::uint32_t, std::uint64_t>, Recipe> recipes_;
 };
 
 }  // namespace ndpcr::delta

@@ -12,38 +12,23 @@
 namespace ndpcr::ndp {
 namespace {
 
-// Delta drain wire frame: magic(4) kind(1) base_id(8) payload.
-constexpr std::uint32_t kFrameMagic = 0x4E444652;  // "NDFR"
-constexpr std::size_t kFrameHeader = 4 + 1 + 8;
+// Fixed drain parameters. The retry backoff is the drain's own, not the
+// manager's: it is part of the drain's virtual-time model.
+constexpr unsigned kCodecThreads = 1;            // restore decompression
+constexpr std::uint32_t kDrainPutAttempts = 4;   // IO puts per drain
+constexpr double kDrainRetryBackoff = 0.05;      // s before the 1st retry
 
 }  // namespace
 
-Bytes NdpAgent::build_frame(ckpt::PayloadKind kind, std::uint64_t base_id,
-                            ByteSpan payload) {
-  Bytes out;
-  out.reserve(kFrameHeader + payload.size());
-  append_le<std::uint32_t>(out, kFrameMagic);
-  append_le<std::uint8_t>(out, static_cast<std::uint8_t>(kind));
-  append_le<std::uint64_t>(out, base_id);
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
 std::optional<NdpAgent::Frame> NdpAgent::parse_frame(ByteSpan raw) {
-  if (raw.size() < kFrameHeader ||
-      read_le<std::uint32_t>(raw, 0) != kFrameMagic) {
+  try {
+    const auto image = ckpt::CheckpointImage::parse(raw);
+    const ByteSpan payload = image.payload();
+    return Frame{image.meta().kind, image.meta().base_id,
+                 Bytes(payload.begin(), payload.end())};
+  } catch (const ckpt::ImageError&) {
     return std::nullopt;
   }
-  const auto kind = read_le<std::uint8_t>(raw, 4);
-  if (kind > static_cast<std::uint8_t>(ckpt::PayloadKind::kDelta)) {
-    return std::nullopt;
-  }
-  Frame frame;
-  frame.kind = static_cast<ckpt::PayloadKind>(kind);
-  frame.base_id = read_le<std::uint64_t>(raw, 5);
-  const ByteSpan payload = raw.subspan(kFrameHeader);
-  frame.payload.assign(payload.begin(), payload.end());
-  return frame;
 }
 
 NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store)
@@ -60,8 +45,8 @@ NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store)
   }
   if (cfg_.codec != compress::CodecId::kNull) {
     codec_.emplace(cfg_.codec, cfg_.codec_level, cfg_.chunk_bytes,
-                   std::max(1u, cfg_.codec_threads));
-    codec_->warm(std::max(1u, cfg_.codec_threads));
+                   kCodecThreads);
+    codec_->warm(kCodecThreads);
   }
   if (cfg_.delta_chain > 0) {
     if (cfg_.delta_block_bytes == 0) {
@@ -128,24 +113,28 @@ void NdpAgent::start_drain_if_ready() {
   }
 
   if (delta_codec_) {
-    // Delta drain mode: the pipeline ships a frame, delta-encoded against
-    // the last image that landed on IO when the chain allows it. The
-    // encode happens here (the bytes are needed to size the chunk
-    // pipeline); its virtual cost is the preprocess stage consumed before
-    // the first chunk compresses.
+    // Delta drain mode: the pipeline ships a frame - an NDCI checkpoint
+    // image whose payload is delta-encoded against the last image that
+    // landed on IO when the chain allows it. The encode happens here (the
+    // bytes are needed to size the chunk pipeline); its virtual cost is
+    // the preprocess stage consumed before the first chunk compresses.
+    ckpt::CheckpointMeta meta;
+    meta.rank = cfg_.rank;
+    meta.checkpoint_id = id;
     const bool as_delta = last_shipped_ && last_shipped_->id < id &&
                           links_since_full_ < cfg_.delta_chain;
     if (as_delta) {
       const Bytes stream = delta_codec_->encode(
           ByteSpan(last_shipped_->image), *image, delta_scratch_);
-      drain.frame =
-          build_frame(ckpt::PayloadKind::kDelta, last_shipped_->id, stream);
+      meta.kind = ckpt::PayloadKind::kDelta;
+      meta.base_id = last_shipped_->id;
+      drain.frame = ckpt::CheckpointImage::build(meta, stream);
       drain.is_delta = true;
       ++stats_.delta_frames;
       stats_.delta_input_bytes += image->size();
       stats_.delta_frame_bytes += stream.size();
     } else {
-      drain.frame = build_frame(ckpt::PayloadKind::kFull, 0, *image);
+      drain.frame = ckpt::CheckpointImage::build(meta, *image);
       ++stats_.full_frames;
     }
     drain.framed = true;
@@ -306,8 +295,8 @@ void NdpAgent::finish_drain() {
   // same stage the host commit path's writer jobs run (docs/PERF.md), so
   // a drained checkpoint hits the IO device with the identical op
   // sequence a host-side commit would.
-  const ckpt::PutOutcome out = ckpt::verified_put_once(
-      io_, cfg_.rank, id, d.compressed, /*verify=*/true);
+  const ckpt::PutOutcome out =
+      ckpt::verified_put_once(io_, cfg_.rank, id, d.compressed);
   const bool ok = out.ok;
   const bool permanent = out.put_permanent || out.read_error_permanent;
   if (out.verify_failed) {
@@ -359,12 +348,12 @@ void NdpAgent::finish_drain() {
     start_drain_if_ready();
     return;
   }
-  if (!permanent && d.put_attempts < cfg_.drain_put_attempts) {
+  if (!permanent && d.put_attempts < kDrainPutAttempts) {
     // Transient failure: back off (virtual time - the pump re-drives the
     // retry once it has elapsed) and keep the drain alive.
     ++stats_.drain_put_retries;
     const double backoff =
-        cfg_.drain_retry_backoff *
+        kDrainRetryBackoff *
         std::pow(2.0, static_cast<double>(d.put_attempts - 1));
     stats_.retry_backoff_seconds += backoff;
     d.remaining_seconds = backoff;

@@ -67,25 +67,22 @@ struct AgentConfig {
   // The IO copy is a ChunkedCodec container, so the chunk size fixes the
   // stored bytes - it is a format knob, not just a timing knob.
   std::size_t chunk_bytes = 256ull << 10;
-  // Worker threads for ChunkedCodec work outside the drain pipeline
-  // (restore-path decompression); <= 1 runs inline.
-  unsigned codec_threads = 1;
-  // IO-store write failures: total put attempts per drain before the
-  // agent gives up and hands the bytes back to the host path, and the
-  // virtual backoff before the first retry (doubles per retry).
-  std::uint32_t drain_put_attempts = 4;
-  double drain_retry_backoff = 0.05;
+  // IO-store write failures are retried with virtual exponential backoff
+  // (4 put attempts per drain, 0.05 s before the first retry, doubling)
+  // before the agent hands the bytes back to the host path.
 
   // Incremental drain mode (docs/DELTA.md): with delta_chain > 0 the
-  // agent wraps every shipped image in a self-describing "NDFR" frame and
-  // delta-encodes it against the last image it successfully shipped - the
-  // paper's "compare data for consecutive checkpoints" NDP extension. Up
-  // to delta_chain delta frames ride between full frames; fallbacks and
-  // resets restart the chain at a full. The encode is a preprocess
-  // pipeline stage charged at delta_bw (a hash-and-compare pass over the
-  // image) before chunk compression begins, so the composed pipeline is
-  // delta -> codec -> wire. 0 keeps the classic raw-container drain -
-  // consumers of the IO store see byte-identical entries.
+  // agent ships every image as an NDCI checkpoint image (ckpt/image.hpp:
+  // rank, id, PayloadKind, base_id, CRC) whose payload is delta-encoded
+  // against the last image it successfully shipped - the paper's "compare
+  // data for consecutive checkpoints" NDP extension, in the same format
+  // MultilevelManager writes its delta chains in. Up to delta_chain delta
+  // frames ride between full frames; fallbacks and resets restart the
+  // chain at a full. The encode is a preprocess pipeline stage charged at
+  // delta_bw (a hash-and-compare pass over the image) before chunk
+  // compression begins, so the composed pipeline is delta -> codec ->
+  // wire. 0 keeps the classic raw-container drain - consumers of the IO
+  // store see byte-identical entries.
   std::uint32_t delta_chain = 0;
   std::size_t delta_block_bytes = 4096;
   double delta_bw = 2e9;  // bytes/s through the delta preprocess stage
@@ -166,19 +163,18 @@ class NdpAgent {
   };
   [[nodiscard]] std::optional<HostFallback> take_host_fallback();
 
-  // Delta drain wire frame (delta_chain > 0): what a decompressed IO
-  // entry holds. A kFull frame's payload is the raw image; a kDelta
-  // frame's payload is a delta stream against the payload of the frame
-  // shipped as `base_id`. Static so IO-side consumers can decode without
-  // an agent instance.
+  // A delta-mode drained frame (delta_chain > 0), as read from a
+  // decompressed IO entry: an NDCI image's kind, base_id and payload. A
+  // kFull frame's payload is the raw image; a kDelta frame's payload is a
+  // delta stream against the payload of the frame shipped as `base_id`.
+  // Static so IO-side consumers can decode without an agent instance.
   struct Frame {
     ckpt::PayloadKind kind = ckpt::PayloadKind::kFull;
     std::uint64_t base_id = 0;
     Bytes payload;
   };
-  static Bytes build_frame(ckpt::PayloadKind kind, std::uint64_t base_id,
-                           ByteSpan payload);
-  // Nullopt on bad magic or truncation.
+  // CheckpointImage::parse, CRC-checked: nullopt on any ImageError (bad
+  // magic, truncation, CRC mismatch).
   static std::optional<Frame> parse_frame(ByteSpan raw);
 
   // Align the agent's virtual clock with the caller's simulation time
@@ -206,8 +202,9 @@ class NdpAgent {
     // the frame size in delta mode.
     std::size_t image_size = 0;
     std::size_t raw_bytes = 0;  // the image's true size (trace/stats)
-    // Delta mode: the pipeline compresses this frame instead of reading
-    // the NVM span, after a preprocess stage models the encode cost.
+    // Delta mode: the pipeline compresses this frame (an NDCI image)
+    // instead of reading the NVM span, after a preprocess stage models
+    // the encode cost.
     Bytes frame;
     bool framed = false;
     bool is_delta = false;

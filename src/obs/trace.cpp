@@ -75,11 +75,6 @@ const char* process_name_of(Clock clock) {
 
 }  // namespace
 
-NullSink& NullSink::instance() {
-  static NullSink sink;
-  return sink;
-}
-
 // ---------------------------------------------------------------------------
 // TraceBuffer
 
@@ -139,10 +134,7 @@ void TraceBuffer::span_at(double t0_seconds, double t1_seconds,
 }
 
 void TraceBuffer::emit(TraceEvent event) {
-  if (!live_) {
-    NullSink::instance().emit(std::move(event));
-    return;
-  }
+  if (!live_) return;
   events_.push_back(std::move(event));
 }
 

@@ -24,7 +24,7 @@
 // any TaskPool size, which obs_test pins at pool sizes 1/2/8.
 //
 // Disabled cost: instrumented layers that get no Tracer bind to
-// Tracer::null(), whose events terminate in the NullSink; every emit
+// Tracer::null(), whose dead buffer drops every event; every emit
 // helper checks enabled()/live() before building strings, so the hot
 // path pays one predictable branch (micro_datapath's obs section
 // measures the commit path with tracing off vs on).
@@ -94,26 +94,10 @@ struct TraceEvent {
   std::vector<RenderedArg> args;
 };
 
-// Receives finished events. The two terminals are TraceBuffer (records)
-// and NullSink (drops) - instrumentation never branches on which one it
-// holds beyond the single live()/enabled() check.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void emit(TraceEvent event) = 0;
-};
-
-// Swallows everything: the disabled path. Tracer::null() routes here.
-class NullSink final : public TraceSink {
- public:
-  void emit(TraceEvent) override {}
-  static NullSink& instance();
-};
-
 // An ordered event list. Per-task buffers are plain TraceBuffers handed
 // out by Tracer::task_buffers(); a dead buffer (live() == false) records
 // nothing and costs one branch per emit call.
-class TraceBuffer final : public TraceSink {
+class TraceBuffer {
  public:
   explicit TraceBuffer(bool live = true) : live_(live) {}
 
@@ -164,7 +148,7 @@ class TraceBuffer final : public TraceSink {
                std::string_view cat, std::uint32_t track = 0,
                std::initializer_list<Arg> args = {});
 
-  void emit(TraceEvent event) override;
+  void emit(TraceEvent event);
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
@@ -190,7 +174,7 @@ class Tracer {
  public:
   explicit Tracer(bool enabled = true);
 
-  // Shared disabled instance (NullSink-backed): instrumented layers with
+  // Shared disabled instance (events are dropped): instrumented layers with
   // no tracer configured bind here so their guards stay one branch.
   static Tracer& null();
 

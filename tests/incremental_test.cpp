@@ -256,7 +256,7 @@ TEST(Incremental, AgentDeltaDrainShipsFramesAndReconstructs) {
   cfg.delta_chain = 3;
   cfg.delta_block_bytes = 256;
   cfg.io_bw = 1e9;
-  cfg.rank = 0;
+  cfg.rank = 3;
 
   ndp::NdpAgent agent(cfg, io);
   std::map<std::uint64_t, Bytes> images;
@@ -275,10 +275,14 @@ TEST(Incremental, AgentDeltaDrainShipsFramesAndReconstructs) {
   EXPECT_LT(agent.stats().bytes_to_io, 3 * images[1].size());
 
   // Reconstruct id 5 from the IO store alone by walking its frame chain.
+  // Every frame is an NDCI image naming the drain's rank and id.
   std::map<std::uint64_t, Bytes> resolved;
   for (std::uint64_t id = 1; id <= 5; ++id) {
     const auto raw = io.get(cfg.rank, id);
     ASSERT_TRUE(raw.ok());
+    const auto image = CheckpointImage::parse(ByteSpan(*raw));
+    EXPECT_EQ(image.meta().rank, cfg.rank);
+    EXPECT_EQ(image.meta().checkpoint_id, id);
     const auto frame = ndp::NdpAgent::parse_frame(ByteSpan(*raw));
     ASSERT_TRUE(frame.has_value());
     if (frame->kind == PayloadKind::kFull) {
@@ -292,6 +296,12 @@ TEST(Incremental, AgentDeltaDrainShipsFramesAndReconstructs) {
     }
     EXPECT_EQ(resolved[id], images[id]);
   }
+
+  // Frames are CRC-checked: one flipped payload byte in the drained full
+  // frame makes it unparseable.
+  Bytes full = io.get(cfg.rank, 1).value();
+  full.back() ^= std::byte{0x01};
+  EXPECT_FALSE(ndp::NdpAgent::parse_frame(ByteSpan(full)).has_value());
 
   // A reset drops the chain reference: the next drain is a full frame.
   agent.reset();
