@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ckpt/store_writer.hpp"
+#include "exec/task_pool.hpp"
 #include "obs/trace.hpp"
 
 namespace ndpcr::ndp {
@@ -103,7 +104,7 @@ void NdpAgent::start_drain_if_ready() {
   drain.raw_bytes = image->size();
   drain.start_v = vclock_;
   // Lock the source so the circular buffer cannot reclaim it while the
-  // chunk pipeline reads it (section 4.2.2).
+  // drain reads it (section 4.2.2).
   uncompressed_.lock(id);
   drain.locked = true;
   if (obs::TraceBuffer* rb = trace_->root()) {
@@ -111,61 +112,85 @@ void NdpAgent::start_drain_if_ready() {
                    {obs::u64("id", id),
                     obs::u64("bytes", drain.image_size)});
   }
-
   if (delta_codec_) {
-    // Delta drain mode: the pipeline ships a frame - an NDCI checkpoint
-    // image whose payload is delta-encoded against the last image that
-    // landed on IO when the chain allows it. The encode happens here (the
-    // bytes are needed to size the chunk pipeline); its virtual cost is
-    // the preprocess stage consumed before the first chunk compresses.
-    ckpt::CheckpointMeta meta;
-    meta.rank = cfg_.rank;
-    meta.checkpoint_id = id;
-    const bool as_delta = last_shipped_ && last_shipped_->id < id &&
-                          links_since_full_ < cfg_.delta_chain;
-    if (as_delta) {
-      const Bytes stream = delta_codec_->encode(
-          ByteSpan(last_shipped_->image), *image, delta_scratch_);
-      meta.kind = ckpt::PayloadKind::kDelta;
-      meta.base_id = last_shipped_->id;
-      drain.frame = ckpt::CheckpointImage::build(meta, stream);
-      drain.is_delta = true;
-      ++stats_.delta_frames;
-      stats_.delta_input_bytes += image->size();
-      stats_.delta_frame_bytes += stream.size();
-    } else {
-      drain.frame = ckpt::CheckpointImage::build(meta, *image);
-      ++stats_.full_frames;
-    }
-    drain.framed = true;
-    drain.image_size = drain.frame.size();
     drain.preprocess_remaining =
         static_cast<double>(drain.raw_bytes) / cfg_.delta_bw;
     drain.preprocess_start_v = vclock_;
   }
-
-  if (codec_) {
-    drain.chunk_count = codec_->chunk_count(drain.image_size);
-    drain.chunks.resize(drain.chunk_count);
-    if (drain.chunk_count == 0) {
-      // Empty image: nothing to pipeline, just the container header on
-      // the wire.
-      drain.compressed = codec_->compress(*image);
-      drain.assembled = true;
-      drain.remaining_seconds =
-          static_cast<double>(drain.compressed.size()) / cfg_.io_bw;
-    }
-  } else {
-    // Uncompressed mode: a single raw "chunk", write stage only.
-    drain.chunk_count = 1;
-    drain.chunks.assign(
-        1, drain.framed ? drain.frame : Bytes(image->begin(), image->end()));
-    drain.compressed_done = 1;
-  }
   drain_ = std::move(drain);
 }
 
+void NdpAgent::prepare_drain() {
+  auto& d = *drain_;
+  d.prepared = true;
+  // The entry is locked for the whole drain, so the span stays valid.
+  const ByteSpan image = *uncompressed_.get(d.checkpoint_id);
+
+  // Delta drain mode: the pipeline ships a frame - an NDCI checkpoint
+  // image whose payload is delta-encoded against the last image that
+  // landed on IO when the chain allows it. Its virtual cost is the
+  // preprocess stage consumed before the first chunk compresses.
+  Bytes frame;
+  if (delta_codec_) {
+    ckpt::CheckpointMeta meta;
+    meta.rank = cfg_.rank;
+    meta.checkpoint_id = d.checkpoint_id;
+    const bool as_delta = last_shipped_ &&
+                          last_shipped_->id < d.checkpoint_id &&
+                          links_since_full_ < cfg_.delta_chain;
+    if (as_delta) {
+      const Bytes stream = delta_codec_->encode(
+          ByteSpan(last_shipped_->image), image, delta_scratch_);
+      meta.kind = ckpt::PayloadKind::kDelta;
+      meta.base_id = last_shipped_->id;
+      frame = ckpt::CheckpointImage::build(meta, stream);
+      d.is_delta = true;
+      ++stats_.delta_frames;
+      stats_.delta_input_bytes += image.size();
+      stats_.delta_frame_bytes += stream.size();
+    } else {
+      frame = ckpt::CheckpointImage::build(meta, image);
+      ++stats_.full_frames;
+    }
+    d.image_size = frame.size();
+  }
+  const ByteSpan source = delta_codec_ ? ByteSpan(frame) : image;
+
+  if (!codec_) {
+    // Uncompressed mode: a single raw "chunk", write stage only.
+    d.chunk_count = 1;
+    d.chunks.assign(1, delta_codec_ ? std::move(frame)
+                                    : Bytes(image.begin(), image.end()));
+    d.compressed_done = 1;
+    return;
+  }
+  d.chunk_count = codec_->chunk_count(d.image_size);
+  if (d.chunk_count == 0) {
+    // Empty image: nothing to pipeline, just the container header on
+    // the wire.
+    d.compressed = codec_->compress(source);
+    d.assembled = true;
+    d.remaining_seconds =
+        static_cast<double>(d.compressed.size()) / cfg_.io_bw;
+    return;
+  }
+  // Every chunk in one batch: chunks are independent and land in their
+  // own slots, so the container is the same at any pool size. A pump
+  // that already runs as a pool task compresses inline (pools do not
+  // nest).
+  d.chunks.resize(d.chunk_count);
+  const auto compress_one = [&](std::size_t j) {
+    d.chunks[j] = codec_->compress_chunk(source, j);
+  };
+  if (exec::TaskPool::in_worker()) {
+    for (std::size_t j = 0; j < d.chunk_count; ++j) compress_one(j);
+  } else {
+    exec::global_pool().parallel_for(d.chunk_count, compress_one);
+  }
+}
+
 double NdpAgent::step_pipeline(double budget) {
+  if (!drain_->prepared) prepare_drain();
   auto& d = *drain_;
   double used = 0.0;
   // Delta preprocess stage: the hash-and-compare pass over the raw image
@@ -183,26 +208,16 @@ double NdpAgent::step_pipeline(double budget) {
                     "ndp.delta", cfg_.trace_track + 1,
                     {obs::u64("id", d.checkpoint_id),
                      obs::u64("in_bytes", d.raw_bytes),
-                     obs::u64("frame_bytes", d.frame.size()),
+                     obs::u64("frame_bytes", d.image_size),
                      obs::u64("delta", d.is_delta ? 1 : 0)});
       }
     }
   }
   if (d.preprocess_remaining > 0.0) return used;
   while (budget > 0.0 && !d.assembled) {
-    // Arm the compress stage: the next chunk's bytes are produced now,
-    // when its stage begins - the drain's lock keeps the source span
-    // valid (delta mode compresses the frame instead) - and its virtual
-    // duration is the chunk's input size over the compression bandwidth.
+    // Arm the compress stage: its virtual duration is the chunk's input
+    // size over the compression bandwidth.
     if (!d.compress_active && codec_ && d.compressed_done < d.chunk_count) {
-      if (d.framed) {
-        d.chunks[d.compressed_done] =
-            codec_->compress_chunk(ByteSpan(d.frame), d.compressed_done);
-      } else {
-        const auto image = uncompressed_.get(d.checkpoint_id);
-        d.chunks[d.compressed_done] =
-            codec_->compress_chunk(*image, d.compressed_done);
-      }
       const auto extent =
           codec_->chunk_extent(d.image_size, d.compressed_done);
       stats_.bytes_compressed += extent.second;
@@ -321,7 +336,11 @@ void NdpAgent::finish_drain() {
       // This image is now the chain's reference (captured before the
       // unlock below; the entry is still resident).
       if (const auto image = uncompressed_.get(id)) {
-        last_shipped_ = Shipped{id, Bytes(image->begin(), image->end())};
+        // Reuse the previous reference's buffer: same-size images need
+        // no allocation.
+        if (!last_shipped_) last_shipped_.emplace();
+        last_shipped_->id = id;
+        last_shipped_->image.assign(image->begin(), image->end());
       } else {
         last_shipped_.reset();
       }

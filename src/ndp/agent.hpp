@@ -13,9 +13,13 @@
 //     evict it under the compressor),
 //   * always drains the newest committed checkpoint, skipping
 //     intermediates it cannot keep up with,
-//   * runs a true two-stage chunk pipeline: the image is compressed
-//     chunk-at-a-time (lazily, as each compress stage begins) while the
-//     previously compressed chunk is on the IO wire, so virtual time
+//   * does all of a drain's byte work off the host's critical path: the
+//     first pump step of a drain runs its prepare step (delta/full
+//     decision, delta encode, NDCI framing, chunk sizing) and compresses
+//     every chunk in one batch on exec::global_pool() (inline when the
+//     caller already is a TaskPool worker),
+//   * models a true two-stage chunk pipeline in virtual time: chunk j's
+//     compress stage overlaps chunk j-1 on the IO wire, so virtual time
 //     follows the per-chunk recurrence C_j = C_{j-1} + c_j,
 //     W_j = max(C_j, W_{j-1}) + w_j instead of a single max(C, W)
 //     (overlap = false serializes the stages: total = sum c + sum w),
@@ -131,9 +135,13 @@ class NdpAgent {
   NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store);
 
   // Host-side local commit: the checkpoint image enters the uncompressed
-  // partition. Returns false if the partition cannot take it (everything
-  // evictable is pinned by an in-flight drain) - the host must stall, the
-  // back-pressure case discussed in section 4.2.1.
+  // partition and the NDP is notified (section 4.2.2). That is all the
+  // caller's thread pays for: when the pipeline is idle the drain is
+  // opened (its entry locked), but no byte of it is encoded, framed or
+  // compressed until pump() steps it. Returns false if the partition
+  // cannot take it (everything evictable is pinned by an in-flight drain)
+  // - the host must stall, the back-pressure case discussed in section
+  // 4.2.1.
   bool host_commit(std::uint64_t checkpoint_id, Bytes image);
 
   // Advance the background pipeline by `seconds` of virtual time. Returns
@@ -199,20 +207,19 @@ class NdpAgent {
   struct Drain {
     std::uint64_t checkpoint_id = 0;
     // Bytes entering the chunk pipeline: the raw image size classically,
-    // the frame size in delta mode.
+    // the NDCI frame size in delta mode (known once prepared).
     std::size_t image_size = 0;
     std::size_t raw_bytes = 0;  // the image's true size (trace/stats)
-    // Delta mode: the pipeline compresses this frame (an NDCI image)
-    // instead of reading the NVM span, after a preprocess stage models
-    // the encode cost.
-    Bytes frame;
-    bool framed = false;
+    // Set by prepare_drain(), on the drain's first pump step: every
+    // chunk's bytes exist from then on.
+    bool prepared = false;
     bool is_delta = false;
+    // Delta mode: a preprocess stage models the encode cost before the
+    // first chunk's compress stage begins.
     double preprocess_remaining = 0.0;
     double preprocess_start_v = 0.0;
-    // Two-stage chunk pipeline. chunks[j] is produced lazily when chunk
-    // j's compress stage begins (the source NVM entry is locked for the
-    // whole drain, so the span stays valid).
+    // Two-stage chunk pipeline over chunks compressed by prepare_drain();
+    // the stages below only charge their virtual durations.
     std::size_t chunk_count = 0;
     std::vector<Bytes> chunks;
     std::size_t compressed_done = 0;  // chunks out of the compress stage
@@ -232,7 +239,13 @@ class NdpAgent {
     double write_start_v = 0.0;
   };
 
+  // Open a drain for the pending checkpoint when the pipeline is idle:
+  // lock its entry and record its size. No byte work.
   void start_drain_if_ready();
+  // The drain's byte work, run once on its first pump step: delta/full
+  // decision, delta encode and NDCI framing (delta mode), chunk sizing
+  // and a batch compress of every chunk.
+  void prepare_drain();
   // Advance the chunk pipeline by up to `budget` seconds; returns the
   // time consumed. Sets drain_->assembled when the last write lands.
   double step_pipeline(double budget);
@@ -250,8 +263,10 @@ class NdpAgent {
   std::optional<HostFallback> fallback_;
   // Delta drain chain state (cfg_.delta_chain > 0): the last image that
   // fully landed on IO (the next delta's reference), and the delta frames
-  // shipped since the last full. A fallback or reset clears both, so the
-  // chain restarts at a full frame.
+  // shipped since the last full. Only finish_drain() advances it, so a
+  // drain prepared later than it was opened still sees the same
+  // reference. A fallback or reset clears both, so the chain restarts at
+  // a full frame.
   std::optional<delta::DeltaCodec> delta_codec_;
   delta::DeltaScratch delta_scratch_;
   struct Shipped {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
+#include "exec/task_pool.hpp"
 #include "ndp/agent.hpp"
 
 namespace ndpcr::ndp {
@@ -222,6 +225,92 @@ TEST(NdpAgent, InvalidConfigThrows) {
   AgentConfig cfg = test_config();
   cfg.io_bw = 0;
   EXPECT_THROW(NdpAgent(cfg, io), std::invalid_argument);
+}
+
+// Offload contract (section 4.2): host_commit only stores the image and
+// notifies the NDP; the delta encode, the framing and the compression all
+// happen inside pump(). However the pump is driven - one call, tiny
+// slices, or from inside a TaskPool task where the chunk batch runs
+// inline - the drained IO entries are the same bytes.
+enum class PumpMode { kWhole, kSlices, kInWorker };
+
+std::vector<Bytes> offload_run(const AgentConfig& cfg, PumpMode mode) {
+  constexpr std::uint64_t kCheckpoints = 6;
+  std::vector<Bytes> drained;
+  const auto body = [&] {
+    ckpt::KvStore io;
+    NdpAgent agent(cfg, io);
+    Bytes image = compressible_image(80 * 1024, 21);
+    for (std::uint64_t id = 1; id <= kCheckpoints; ++id) {
+      // Consecutive images differ in a few places, so delta frames ship.
+      for (std::size_t i = 0; i < 64; ++i) {
+        image[(id * 4099 + i * 997) % image.size()] ^= std::byte{0x5a};
+      }
+      const AgentStats before = agent.stats();
+      ASSERT_TRUE(agent.host_commit(id, image));
+      EXPECT_TRUE(agent.busy());
+      EXPECT_EQ(agent.stats().full_frames, before.full_frames);
+      EXPECT_EQ(agent.stats().delta_frames, before.delta_frames);
+      EXPECT_EQ(agent.stats().bytes_compressed, before.bytes_compressed);
+      if (mode == PumpMode::kSlices) {
+        for (int guard = 0; guard < 10'000'000 && agent.busy(); ++guard) {
+          agent.pump(1e-5);
+        }
+      } else {
+        agent.pump(1e9);
+      }
+      ASSERT_FALSE(agent.busy());
+      ASSERT_EQ(agent.newest_on_io(), id);
+      drained.push_back(io.get(0, id).value());
+    }
+    if (cfg.delta_chain > 0) {
+      EXPECT_GT(agent.stats().delta_frames, 0u);
+    }
+  };
+  if (mode == PumpMode::kInWorker) {
+    exec::TaskPool pool(2);
+    pool.parallel_for(1, [&](std::size_t) {
+      EXPECT_TRUE(exec::TaskPool::in_worker());
+      body();
+    });
+  } else {
+    body();
+  }
+  return drained;
+}
+
+AgentConfig offload_config(std::uint32_t delta_chain) {
+  AgentConfig cfg = test_config();
+  cfg.codec = compress::CodecId::kLz4Style;
+  cfg.chunk_bytes = 16 * 1024;  // several chunks per image
+  cfg.delta_chain = delta_chain;
+  cfg.delta_bw = 4e6;
+  return cfg;
+}
+
+TEST(NdpAgentOffload, HostCommitDoesNoDrainWork) {
+  for (const std::uint32_t chain : {0u, 3u}) {
+    ckpt::KvStore io;
+    NdpAgent agent(offload_config(chain), io);
+    ASSERT_TRUE(agent.host_commit(1, compressible_image(80 * 1024, 22)));
+    EXPECT_TRUE(agent.busy());
+    EXPECT_EQ(agent.stats().full_frames + agent.stats().delta_frames, 0u);
+    EXPECT_EQ(agent.stats().bytes_compressed, 0u);
+    agent.pump(1e9);
+    EXPECT_EQ(agent.newest_on_io(), 1u);
+    EXPECT_GT(agent.stats().bytes_compressed, 0u);
+    EXPECT_EQ(agent.stats().full_frames, chain > 0 ? 1u : 0u);
+  }
+}
+
+TEST(NdpAgentOffload, DrainedBytesIndependentOfPumpDriving) {
+  for (const std::uint32_t chain : {0u, 3u}) {
+    const AgentConfig cfg = offload_config(chain);
+    const std::vector<Bytes> whole = offload_run(cfg, PumpMode::kWhole);
+    ASSERT_EQ(whole.size(), 6u);
+    EXPECT_EQ(offload_run(cfg, PumpMode::kSlices), whole) << chain;
+    EXPECT_EQ(offload_run(cfg, PumpMode::kInWorker), whole) << chain;
+  }
 }
 
 }  // namespace
